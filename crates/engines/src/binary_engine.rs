@@ -6,7 +6,7 @@
 
 use crate::storage::{matches, BinaryFormat, NavStats};
 use crate::{CancelToken, CostModel, EngineError, ExecutionReport, QueryOutcome, WorkCounters};
-use betze_json::Value;
+use betze_json::{DocSet, Value};
 use betze_model::Query;
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -127,10 +127,10 @@ impl<F: BinaryFormat> BinaryStore<F> {
             self.datasets.insert(store.clone(), copy);
         }
         counters.docs_materialized += materialized.len() as u64;
-        let docs: Vec<Value> = match &query.aggregation {
+        let docs = DocSet::from(match &query.aggregation {
             Some(agg) => agg.eval(&materialized),
             None => materialized,
-        };
+        });
         if self.output_enabled {
             counters.docs_output += docs.len() as u64;
             counters.bytes_output += docs.iter().map(|d| d.approx_size() as u64).sum::<u64>();

@@ -295,6 +295,7 @@ impl<E: Engine> Engine for BreakerEngine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use betze_json::DocSet;
 
     /// A scripted engine: `fail_first` transient failures, then success
     /// forever. Counts how many calls actually reached it.
@@ -334,7 +335,7 @@ mod tests {
                 })
             } else {
                 Ok(QueryOutcome {
-                    docs: Vec::new(),
+                    docs: DocSet::default(),
                     report: ExecutionReport::empty(),
                 })
             }
@@ -440,7 +441,7 @@ mod tests {
                     })
                 } else {
                     Ok(QueryOutcome {
-                        docs: Vec::new(),
+                        docs: DocSet::default(),
                         report: ExecutionReport::empty(),
                     })
                 }

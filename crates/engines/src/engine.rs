@@ -2,7 +2,7 @@
 //! work.
 
 use crate::{CostModel, WorkCounters};
-use betze_json::Value;
+use betze_json::{DocSet, Value};
 use betze_model::Query;
 use std::error::Error;
 use std::fmt;
@@ -187,7 +187,9 @@ impl ExecutionReport {
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryOutcome {
     /// The result documents (filtered documents, or aggregation results).
-    pub docs: Vec<Value>,
+    /// In-memory engines return a row selection over the dataset they
+    /// scanned; engines that decode their results wrap what they decoded.
+    pub docs: DocSet,
     /// What it cost.
     pub report: ExecutionReport,
 }

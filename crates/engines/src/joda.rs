@@ -1,11 +1,20 @@
 //! The JODA-like engine: in-memory, multi-threaded, with Delta-Tree-style
 //! reuse of intermediate results.
+//!
+//! Datasets, cached intermediates and query results are [`DocSet`]s: a
+//! filter scan returns a row selection over the *same* base documents,
+//! so storing an intermediate, hitting the cache or returning a result
+//! copies no document. Only work that produces new documents allocates
+//! them: transforms, eviction-mode re-parses and page reads of a
+//! disk-resident base. The `docs_materialized` counter still charges
+//! every filtered row, because it prices the intermediate JODA
+//! materializes, not how this simulation represents it.
 
 use crate::{
     CancelToken, CostModel, CostProfile, Engine, EngineError, ExecutionReport, QueryOutcome,
     WorkCounters,
 };
-use betze_json::Value;
+use betze_json::{DocSet, Value};
 use betze_model::{Predicate, Query};
 use betze_store::PagedCorpus;
 use std::collections::HashMap;
@@ -44,13 +53,13 @@ pub struct JodaSim {
     eviction: bool,
     output_enabled: bool,
     cancel: CancelToken,
-    datasets: HashMap<String, Arc<Vec<Value>>>,
+    datasets: HashMap<String, DocSet>,
     /// Disk-resident base corpora, scanned page-at-a-time.
     paged: HashMap<String, Arc<PagedCorpus>>,
     /// Raw JSON-lines text kept for eviction-mode re-imports.
     raw: HashMap<String, String>,
     /// Delta-Tree-style cache: canonical `(base | predicate)` key → result.
-    cache: HashMap<String, Arc<Vec<Value>>>,
+    cache: HashMap<String, DocSet>,
 }
 
 impl JodaSim {
@@ -91,53 +100,38 @@ impl JodaSim {
         format!("{base}|{predicate}")
     }
 
-    /// Multi-threaded filter scan over a document slice. Polls the cancel
+    /// Multi-threaded filter scan over a document set, returning the
+    /// matching rows as a selection over the same base. Polls the cancel
     /// token once per scan — composed predicates recurse through
     /// [`filtered`](Self::filtered), so a query polls at every level of
     /// its predicate chain.
     fn scan(
         &self,
-        docs: &[Value],
+        docs: &DocSet,
         predicate: &Predicate,
         counters: &mut WorkCounters,
-    ) -> Result<Vec<Value>, EngineError> {
+    ) -> Result<DocSet, EngineError> {
         self.cancel.check("JODA scan")?;
         counters.docs_scanned += docs.len() as u64;
         let leaves = predicate.leaf_count() as u64;
         // Leaf count per doc is an upper bound (short-circuiting evaluates
         // fewer); the cost model treats it as the scan's predicate work.
         counters.predicate_evals += leaves * docs.len() as u64;
-        if self.threads <= 1 || docs.len() < 1024 {
-            let out: Vec<Value> = docs
-                .iter()
-                .filter(|d| predicate.matches(d))
-                .cloned()
-                .collect();
-            // The filtered set becomes an in-memory intermediate dataset
-            // (JODA materializes result sets for reuse).
-            counters.docs_materialized += out.len() as u64;
-            return Ok(out);
-        }
-        let chunk = docs.len().div_ceil(self.threads);
-        Ok(std::thread::scope(|scope| {
-            let handles: Vec<_> = docs
-                .chunks(chunk)
-                .map(|part| {
-                    scope.spawn(move || {
-                        part.iter()
-                            .filter(|d| predicate.matches(d))
-                            .cloned()
-                            .collect::<Vec<Value>>()
-                    })
-                })
-                .collect();
-            let mut out = Vec::new();
-            for handle in handles {
-                out.extend(handle.join().expect("scan worker panicked"));
-            }
-            counters.docs_materialized += out.len() as u64;
-            out
-        }))
+        let out = if self.threads <= 1 || docs.len() < 1024 {
+            docs.filter(|d| predicate.matches(d))
+        } else {
+            let base = docs.base();
+            docs.reselect(select_parallel(&docs.row_ids(), self.threads, |part| {
+                part.iter()
+                    .copied()
+                    .filter(|&row| predicate.matches(&base[row as usize]))
+                    .collect()
+            }))
+        };
+        // The filtered set becomes an in-memory intermediate dataset
+        // (JODA materializes result sets for reuse).
+        counters.docs_materialized += out.len() as u64;
+        Ok(out)
     }
 
     /// Resolves the filtered document set for `(base, predicate)`, reusing
@@ -145,29 +139,29 @@ impl JodaSim {
     fn filtered(
         &mut self,
         base: &str,
-        base_docs: &Arc<Vec<Value>>,
+        base_docs: &DocSet,
         predicate: &Predicate,
         counters: &mut WorkCounters,
-    ) -> Result<Arc<Vec<Value>>, EngineError> {
+    ) -> Result<DocSet, EngineError> {
         if !self.eviction {
             let key = Self::cache_key(base, predicate);
             if let Some(hit) = self.cache.get(&key) {
                 counters.cache_hits += 1;
-                return Ok(Arc::clone(hit));
+                return Ok(hit.clone());
             }
             // Composed predicates have the shape And(parent_chain, local):
             // resolve the left side (recursively cacheable), then evaluate
             // only the extension on that subset.
-            let result: Arc<Vec<Value>> = if let Predicate::And(left, right) = predicate {
+            let result = if let Predicate::And(left, right) = predicate {
                 let parent = self.filtered(base, base_docs, left, counters)?;
-                Arc::new(self.scan(&parent, right, counters)?)
+                self.scan(&parent, right, counters)?
             } else {
-                Arc::new(self.scan(base_docs, predicate, counters)?)
+                self.scan(base_docs, predicate, counters)?
             };
-            self.cache.insert(key, Arc::clone(&result));
+            self.cache.insert(key, result.clone());
             Ok(result)
         } else {
-            Ok(Arc::new(self.scan(base_docs, predicate, counters)?))
+            self.scan(base_docs, predicate, counters)
         }
     }
 
@@ -175,14 +169,15 @@ impl JodaSim {
     /// documents in memory at a time. Per-page charges sum to exactly
     /// what [`scan`](Self::scan) charges for the whole corpus, so the
     /// modeled clock cannot tell the paths apart; only the residence of
-    /// the data differs. A damaged page aborts the scan with a typed
+    /// the data differs. The matching documents move out of the pages
+    /// read into a new base. A damaged page aborts the scan with a typed
     /// storage error instead of returning a partial result.
     fn scan_paged(
         &self,
         corpus: &PagedCorpus,
         predicate: &Predicate,
         counters: &mut WorkCounters,
-    ) -> Result<Vec<Value>, EngineError> {
+    ) -> Result<DocSet, EngineError> {
         let leaves = predicate.leaf_count() as u64;
         let mut out = Vec::new();
         for index in 0..corpus.page_count() {
@@ -192,10 +187,10 @@ impl JodaSim {
                 .map_err(|e| EngineError::from_store(&e, "scan page"))?;
             counters.docs_scanned += page.docs.len() as u64;
             counters.predicate_evals += leaves * page.docs.len() as u64;
-            out.extend(page.docs.iter().filter(|d| predicate.matches(d)).cloned());
+            out.extend(page.docs.into_iter().filter(|d| predicate.matches(d)));
         }
         counters.docs_materialized += out.len() as u64;
-        Ok(out)
+        Ok(DocSet::from(out))
     }
 
     /// [`filtered`](Self::filtered) for a disk-resident base: identical
@@ -208,25 +203,48 @@ impl JodaSim {
         corpus: &Arc<PagedCorpus>,
         predicate: &Predicate,
         counters: &mut WorkCounters,
-    ) -> Result<Arc<Vec<Value>>, EngineError> {
+    ) -> Result<DocSet, EngineError> {
         if !self.eviction {
             let key = Self::cache_key(base, predicate);
             if let Some(hit) = self.cache.get(&key) {
                 counters.cache_hits += 1;
-                return Ok(Arc::clone(hit));
+                return Ok(hit.clone());
             }
-            let result: Arc<Vec<Value>> = if let Predicate::And(left, right) = predicate {
+            let result = if let Predicate::And(left, right) = predicate {
                 let parent = self.filtered_paged(base, corpus, left, counters)?;
-                Arc::new(self.scan(&parent, right, counters)?)
+                self.scan(&parent, right, counters)?
             } else {
-                Arc::new(self.scan_paged(corpus, predicate, counters)?)
+                self.scan_paged(corpus, predicate, counters)?
             };
-            self.cache.insert(key, Arc::clone(&result));
+            self.cache.insert(key, result.clone());
             Ok(result)
         } else {
-            Ok(Arc::new(self.scan_paged(corpus, predicate, counters)?))
+            self.scan_paged(corpus, predicate, counters)
         }
     }
+}
+
+/// Splits the ascending `rows` into one contiguous chunk per worker, runs
+/// `select` on each chunk on its own scoped thread and concatenates the
+/// outputs in chunk order — so the result is exactly `select(rows)`.
+pub(crate) fn select_parallel(
+    rows: &[u32],
+    threads: usize,
+    select: impl Fn(&[u32]) -> Vec<u32> + Sync,
+) -> Vec<u32> {
+    let chunk = rows.len().div_ceil(threads).max(1);
+    let select = &select;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = rows
+            .chunks(chunk)
+            .map(|part| scope.spawn(move || select(part)))
+            .collect();
+        let mut out = Vec::new();
+        for handle in handles {
+            out.extend(handle.join().expect("scan worker panicked"));
+        }
+        out
+    })
 }
 
 impl Engine for JodaSim {
@@ -252,7 +270,7 @@ impl Engine for JodaSim {
             message: format!("parse failed: {e}"),
         })?;
         self.paged.remove(name);
-        self.datasets.insert(name.to_owned(), Arc::new(parsed));
+        self.datasets.insert(name.to_owned(), DocSet::from(parsed));
         if self.eviction {
             self.raw.insert(name.to_owned(), text);
         }
@@ -302,7 +320,8 @@ impl Engine for JodaSim {
                 let parsed = betze_json::parse_many(text).map_err(|e| EngineError::Storage {
                     message: format!("re-import parse failed: {e}"),
                 })?;
-                self.datasets.insert(query.base.clone(), Arc::new(parsed));
+                self.datasets
+                    .insert(query.base.clone(), DocSet::from(parsed));
             } else if let Some(corpus) = self.paged.get(&query.base) {
                 counters.bytes_parsed += corpus.json_bytes();
             }
@@ -328,7 +347,7 @@ impl Engine for JodaSim {
                 // storage path, and the charge matches the RAM path.
                 None => {
                     counters.docs_scanned += corpus.doc_count();
-                    Arc::new(
+                    DocSet::from(
                         corpus
                             .materialize()
                             .map_err(|e| EngineError::from_store(&e, "materialize corpus"))?,
@@ -343,22 +362,22 @@ impl Engine for JodaSim {
 
         // Transformations (§VII) change the result documents — and hence
         // the stored intermediate dataset.
-        let result: Arc<Vec<Value>> = if query.transforms.is_empty() {
+        let result = if query.transforms.is_empty() {
             filtered
         } else {
-            let mut transformed = filtered.as_ref().clone();
+            let mut transformed = filtered.to_vec();
             counters.transform_ops += (transformed.len() * query.transforms.len()) as u64;
             betze_model::apply_all(&query.transforms, &mut transformed);
-            Arc::new(transformed)
+            DocSet::from(transformed)
         };
 
         if let Some(store) = &query.store_as {
-            self.datasets.insert(store.clone(), Arc::clone(&result));
+            self.datasets.insert(store.clone(), result.clone());
         }
 
-        let docs: Vec<Value> = match &query.aggregation {
-            Some(agg) => agg.eval(&result),
-            None => result.as_ref().clone(),
+        let docs = match &query.aggregation {
+            Some(agg) => DocSet::from(agg.eval(&result)),
+            None => result,
         };
         if self.output_enabled {
             counters.docs_output += docs.len() as u64;
@@ -505,6 +524,63 @@ mod tests {
         );
         // Modeled time shrinks with threads.
         assert!(b.report.modeled < a.report.modeled);
+    }
+
+    #[test]
+    fn row_selection_is_identical_across_thread_counts() {
+        let many: Vec<Value> = (0..5000)
+            .map(|i| json!({ "n": (i as i64), "even": (i % 2 == 0) }))
+            .collect();
+        let wide = Predicate::leaf(FilterFn::FloatCmp {
+            path: ptr("/n"),
+            op: betze_model::Comparison::Lt,
+            value: 3000.0,
+        });
+        // The second query scans a 2,500-row selection of the base and the
+        // third a 1,500-row one: both above the threading threshold.
+        let queries = [
+            Query::scan("t").with_filter(even()).store_as("evens"),
+            Query::scan("evens").with_filter(wide.clone()),
+            Query::scan("t").with_filter(even().and(wide)),
+        ];
+        let run = |threads: usize| {
+            let mut joda = JodaSim::new(threads);
+            joda.import("t", &many).unwrap();
+            queries
+                .iter()
+                .map(|q| {
+                    let out = joda.execute(q).unwrap();
+                    (out.docs.rows().map(<[u32]>::to_vec), out.report.counters)
+                })
+                .collect::<Vec<_>>()
+        };
+        let single = run(1);
+        assert_eq!(single[1].0.as_ref().map(Vec::len), Some(1500));
+        for threads in [4, 16] {
+            assert_eq!(run(threads), single, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn intermediates_and_outputs_share_the_imported_base() {
+        let mut joda = JodaSim::new(1);
+        joda.import("t", &docs()).unwrap();
+        let base = Arc::clone(joda.datasets["t"].base());
+        let filtered = joda
+            .execute(&Query::scan("t").with_filter(even()).store_as("evens"))
+            .unwrap();
+        assert!(Arc::ptr_eq(filtered.docs.base(), &base));
+        assert!(Arc::ptr_eq(joda.datasets["evens"].base(), &base));
+        let unfiltered = joda.execute(&Query::scan("t")).unwrap();
+        assert!(Arc::ptr_eq(unfiltered.docs.base(), &base));
+        assert!(unfiltered.docs.rows().is_none());
+        let nested = joda
+            .execute(&Query::scan("evens").with_filter(small()))
+            .unwrap();
+        assert!(Arc::ptr_eq(nested.docs.base(), &base));
+        assert_eq!(nested.docs.rows(), Some(&[0, 2, 4, 6, 8][..]));
+        // The output charge is unchanged by sharing: every row is counted.
+        assert_eq!(unfiltered.report.counters.docs_output, 100);
     }
 
     #[test]

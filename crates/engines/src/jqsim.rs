@@ -4,7 +4,7 @@ use crate::{
     CancelToken, CostModel, CostProfile, Engine, EngineError, ExecutionReport, QueryOutcome,
     WorkCounters,
 };
-use betze_json::Value;
+use betze_json::{DocSet, Value};
 use betze_model::Query;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -163,8 +163,9 @@ impl Engine for JqSim {
         }
 
         // jq always streams its results out; stores go to a new file.
-        let docs: Vec<Value> = match &query.aggregation {
-            Some(agg) => agg.eval(&matching),
+        let matching = DocSet::from(matching);
+        let docs = match &query.aggregation {
+            Some(agg) => DocSet::from(agg.eval(&matching)),
             None => matching.clone(),
         };
         if self.output_enabled {

@@ -3,20 +3,26 @@
 //!
 //! [`VmEngine`] is a drop-in replacement for [`JodaSim`](crate::JodaSim)
 //! whose scans run compiled betze-vm programs over document batches
-//! instead of tree-walking the predicate per document. Corpora that get
-//! scanned repeatedly (base datasets, hot cached prefixes) are
-//! additionally shredded into a columnar [`Projection`] on their second
-//! scan, after which predicate evaluation never touches the document
-//! trees at all. Everything that
+//! instead of tree-walking the predicate per document. Like `JodaSim`,
+//! it keeps every dataset, cached intermediate and result as a
+//! [`DocSet`]: a filter scan seeds the program's selection with the
+//! scanned set's rows and returns the matching rows over the *same*
+//! base, so no document is copied. A base that gets scanned repeatedly
+//! — directly or through any selection derived from it — is shredded
+//! into a columnar [`Projection`] on its second scan; from then on every
+//! derived selection is evaluated on that one base projection,
+//! restricted to its rows, and predicate evaluation never touches the
+//! document trees at all. Everything that
 //! determines *results* — the Delta-Tree-style `(base, predicate)`
 //! cache, the `And`-left prefix decomposition, every [`WorkCounters`]
 //! charge (including the leaf-count × docs upper bound for
-//! `predicate_evals`), the JODA cost profile, the ≥1024-docs threading
-//! threshold, cancel polling — is kept structurally identical, so
-//! cardinalities, stored datasets, report cells, modeled times, and
-//! chaos fault schedules are bit-identical to the tree-walker. The
-//! differential oracle in `tests/tests/vm.rs` proves it across the
-//! 100-seed × 3-preset sweep.
+//! `predicate_evals`, and `docs_materialized` as the modeled JODA
+//! materialization charge), the JODA cost profile, the ≥1024-docs
+//! threading threshold, cancel polling — is kept structurally
+//! identical, so cardinalities, stored datasets, report cells, modeled
+//! times, and chaos fault schedules are bit-identical to the
+//! tree-walker. The differential oracle in `tests/tests/vm.rs` proves it
+//! across the 100-seed × 3-preset sweep.
 //!
 //! Programs are built by the verified optimizer (DESIGN.md §15) by
 //! default: each import is analyzed once (`betze_stats::analyze`), the
@@ -38,11 +44,12 @@
 //! Compiled programs are cached per `(base, predicate)` with the
 //! analysis they were optimized under; aggregations by display form.
 
+use crate::joda::select_parallel;
 use crate::{
     CancelToken, CostModel, CostProfile, Engine, EngineError, ExecutionReport, QueryOutcome,
     WorkCounters,
 };
-use betze_json::Value;
+use betze_json::{DocSet, Value};
 use betze_lint::vm_arm_facts;
 use betze_model::{Predicate, Query};
 use betze_stats::DatasetAnalysis;
@@ -79,7 +86,7 @@ pub struct VmEngine {
     /// compilation when off.
     optimize: bool,
     cancel: CancelToken,
-    datasets: HashMap<String, Arc<Vec<Value>>>,
+    datasets: HashMap<String, DocSet>,
     /// Disk-resident base corpora, scanned page-at-a-time (one page's
     /// documents per VM batch, reusing the engine's scratch).
     paged: HashMap<String, Arc<PagedCorpus>>,
@@ -88,7 +95,7 @@ pub struct VmEngine {
     /// transforms (facts would no longer be sound).
     analyses: HashMap<String, Arc<DatasetAnalysis>>,
     /// Delta-Tree-style cache: canonical `(base | predicate)` key → result.
-    cache: HashMap<String, Arc<Vec<Value>>>,
+    cache: HashMap<String, DocSet>,
     /// Compiled programs per `(base | predicate)` key, tagged with the
     /// analysis they were optimized under (`Arc::ptr_eq` staleness
     /// check — re-importing a dataset invalidates its entries). `None`
@@ -100,12 +107,13 @@ pub struct VmEngine {
     /// Reused single-thread execution state (allocation-free steady state).
     scratch: VmScratch,
     matched: Vec<u32>,
-    /// Shredded-corpus cache keyed by the scanned `Arc`'s address. The
-    /// entry holds the `Arc`, so an address cannot be recycled while its
-    /// projection is cached.
+    /// Shredded-corpus cache keyed by the address of a [`DocSet`]'s base
+    /// vector. The entry holds the `Arc`, so an address cannot be
+    /// recycled while its projection is cached.
     projections: HashMap<usize, (Arc<Vec<Value>>, Arc<Projection>)>,
-    /// Scans observed per corpus address; a projection is built on the
-    /// second scan (a corpus scanned once gains nothing from shredding).
+    /// Scans observed per base address — a scan of any selection of the
+    /// base counts; a projection is built on the second scan (a corpus
+    /// scanned once gains nothing from shredding).
     scan_seen: HashMap<usize, u32>,
     /// Cells currently held by `projections`, bounded by
     /// [`MAX_PROJECTED_CELLS`].
@@ -204,14 +212,14 @@ impl VmEngine {
         compiled
     }
 
-    /// Returns a projection of the corpus if it has earned one: the
+    /// Returns a projection of a base corpus if it has earned one: the
     /// build costs about one tree-walk scan, so it happens on the
-    /// *second* scan of the same `Arc` — exactly the repeated-scan
-    /// shape of session workloads (base datasets and hot cached
-    /// prefixes). The cache keys on the `Arc` address and keeps the
-    /// `Arc` alive, so a key can never dangle or be recycled while
-    /// cached. Purely an execution strategy: results and counters are
-    /// unchanged.
+    /// *second* scan of the same base `Arc` — counting scans of every
+    /// selection derived from it, which is exactly the repeated-scan
+    /// shape of session workloads. The cache keys on the `Arc` address
+    /// and keeps the `Arc` alive, so a key can never dangle or be
+    /// recycled while cached. Purely an execution strategy: results and
+    /// counters are unchanged.
     fn projection_for(&mut self, docs: &Arc<Vec<Value>>) -> Option<Arc<Projection>> {
         if docs.len() < MIN_PROJECTED_DOCS {
             return None;
@@ -239,18 +247,19 @@ impl VmEngine {
         Some(proj)
     }
 
-    /// Batched filter scan. Counter charges mirror `JodaSim::scan`
-    /// exactly: `predicate_evals` stays the leaf-count × docs upper
-    /// bound, not the (smaller) number of lanes the VM actually touched,
-    /// because the cost model prices the scan, not the execution
-    /// strategy.
+    /// Batched filter scan over a document set, returning the matching
+    /// rows as a selection over the same base. Counter charges mirror
+    /// `JodaSim::scan` exactly: `predicate_evals` stays the leaf-count ×
+    /// docs upper bound, not the (smaller) number of lanes the VM
+    /// actually touched, because the cost model prices the scan, not the
+    /// execution strategy.
     fn scan(
         &mut self,
         base: &str,
-        docs: &Arc<Vec<Value>>,
+        docs: &DocSet,
         predicate: &Predicate,
         counters: &mut WorkCounters,
-    ) -> Result<Vec<Value>, EngineError> {
+    ) -> Result<DocSet, EngineError> {
         self.cancel.check("VM scan")?;
         counters.docs_scanned += docs.len() as u64;
         // Charged from the ORIGINAL predicate, not the optimized program:
@@ -258,84 +267,43 @@ impl VmEngine {
         // a provably-dead arm must not perturb modeled times.
         let leaves = predicate.leaf_count() as u64;
         counters.predicate_evals += leaves * docs.len() as u64;
-        let program = self.program_for(base, predicate);
-        if let Some(prog) = program.as_ref() {
-            if prog.is_projectable() {
-                if let Some(proj) = self.projection_for(docs) {
-                    prog.run_projected(&proj, &mut self.scratch, &mut self.matched);
-                    let out: Vec<Value> = self
-                        .matched
-                        .iter()
-                        .map(|&lane| docs[lane as usize].clone())
-                        .collect();
-                    counters.docs_materialized += out.len() as u64;
-                    return Ok(out);
-                }
+        let compiled = self.program_for(base, predicate);
+        let program = (*compiled).as_ref();
+        let corpus = docs.base();
+        let rows = docs.row_ids();
+        let projection = match program {
+            Some(prog) if prog.is_projectable() => self.projection_for(corpus),
+            _ => None,
+        };
+        let out = match (program, projection) {
+            // The base's projection serves every selection of it: seed
+            // the program with the selection's rows.
+            (Some(prog), Some(proj)) => {
+                let mut out = Vec::new();
+                prog.run_projected_rows(&proj, &rows, &mut self.scratch, &mut out);
+                out
             }
-        }
-        let docs: &[Value] = docs;
-        if self.threads <= 1 || docs.len() < 1024 {
-            let out = match program.as_ref() {
-                Some(prog) => {
-                    let mut out = Vec::new();
-                    for (i, chunk) in docs.chunks(BATCH).enumerate() {
-                        let base = i * BATCH;
-                        prog.run(chunk, &mut self.scratch, &mut self.matched);
-                        out.extend(
-                            self.matched
-                                .iter()
-                                .map(|&lane| docs[base + lane as usize].clone()),
-                        );
-                    }
-                    out
-                }
-                // Register budget exceeded: tree-walk this scan.
-                None => docs
-                    .iter()
-                    .filter(|d| predicate.matches(d))
-                    .cloned()
-                    .collect(),
-            };
-            counters.docs_materialized += out.len() as u64;
-            return Ok(out);
-        }
-        let chunk = docs.len().div_ceil(self.threads);
-        let program = &program;
-        Ok(std::thread::scope(|scope| {
-            let handles: Vec<_> = docs
-                .chunks(chunk)
-                .map(|part| {
-                    scope.spawn(move || match program.as_ref() {
-                        Some(prog) => {
-                            let mut scratch = VmScratch::new();
-                            let mut matched = Vec::new();
-                            let mut out = Vec::new();
-                            for (i, batch) in part.chunks(BATCH).enumerate() {
-                                let base = i * BATCH;
-                                prog.run(batch, &mut scratch, &mut matched);
-                                out.extend(
-                                    matched
-                                        .iter()
-                                        .map(|&lane| part[base + lane as usize].clone()),
-                                );
-                            }
-                            out
-                        }
-                        None => part
-                            .iter()
-                            .filter(|d| predicate.matches(d))
-                            .cloned()
-                            .collect::<Vec<Value>>(),
-                    })
-                })
-                .collect();
-            let mut out = Vec::new();
-            for handle in handles {
-                out.extend(handle.join().expect("scan worker panicked"));
-            }
-            counters.docs_materialized += out.len() as u64;
-            out
-        }))
+            _ if self.threads <= 1 || docs.len() < 1024 => select_rows(
+                program,
+                predicate,
+                corpus,
+                &rows,
+                &mut self.scratch,
+                &mut self.matched,
+            ),
+            _ => select_parallel(&rows, self.threads, |part| {
+                select_rows(
+                    program,
+                    predicate,
+                    corpus,
+                    part,
+                    &mut VmScratch::new(),
+                    &mut Vec::new(),
+                )
+            }),
+        };
+        counters.docs_materialized += out.len() as u64;
+        Ok(docs.reselect(out))
     }
 
     /// Resolves the filtered document set for `(base, predicate)` with
@@ -344,25 +312,25 @@ impl VmEngine {
     fn filtered(
         &mut self,
         base: &str,
-        base_docs: &Arc<Vec<Value>>,
+        base_docs: &DocSet,
         predicate: &Predicate,
         counters: &mut WorkCounters,
-    ) -> Result<Arc<Vec<Value>>, EngineError> {
+    ) -> Result<DocSet, EngineError> {
         let key = Self::cache_key(base, predicate);
         if let Some(hit) = self.cache.get(&key) {
             counters.cache_hits += 1;
-            return Ok(Arc::clone(hit));
+            return Ok(hit.clone());
         }
         // The right-arm scan runs over a cached *subset* of `base`'s
         // corpus, so optimizing it under `base`'s analysis stays sound
         // (matches-none/matches-all facts survive taking subsets).
-        let result: Arc<Vec<Value>> = if let Predicate::And(left, right) = predicate {
+        let result = if let Predicate::And(left, right) = predicate {
             let parent = self.filtered(base, base_docs, left, counters)?;
-            Arc::new(self.scan(base, &parent, right, counters)?)
+            self.scan(base, &parent, right, counters)?
         } else {
-            Arc::new(self.scan(base, base_docs, predicate, counters)?)
+            self.scan(base, base_docs, predicate, counters)?
         };
-        self.cache.insert(key, Arc::clone(&result));
+        self.cache.insert(key, result.clone());
         Ok(result)
     }
 
@@ -370,7 +338,8 @@ impl VmEngine {
     /// executor consumes one page's documents per batch, reusing the
     /// engine's scratch, so memory stays O(pages-in-flight). Charges sum
     /// to exactly what [`scan`](Self::scan) charges for the whole corpus.
-    /// Pages never earn a projection (each page's `Arc` lives for one
+    /// The matching documents move out of the pages read into a new
+    /// base. Pages never earn a projection (each page lives for one
     /// batch — there is no repeated scan of the same allocation to
     /// amortize a shred against), which is purely an execution strategy
     /// and moves no counter.
@@ -380,9 +349,9 @@ impl VmEngine {
         corpus: &PagedCorpus,
         predicate: &Predicate,
         counters: &mut WorkCounters,
-    ) -> Result<Vec<Value>, EngineError> {
+    ) -> Result<DocSet, EngineError> {
         let leaves = predicate.leaf_count() as u64;
-        let program = self.program_for(base, predicate);
+        let compiled = self.program_for(base, predicate);
         let mut out = Vec::new();
         for index in 0..corpus.page_count() {
             self.cancel.check("VM scan")?;
@@ -391,24 +360,24 @@ impl VmEngine {
                 .map_err(|e| EngineError::from_store(&e, "scan page"))?;
             counters.docs_scanned += page.docs.len() as u64;
             counters.predicate_evals += leaves * page.docs.len() as u64;
-            match program.as_ref() {
-                Some(prog) => {
-                    for (i, chunk) in page.docs.chunks(BATCH).enumerate() {
-                        let batch_base = i * BATCH;
-                        prog.run(chunk, &mut self.scratch, &mut self.matched);
-                        out.extend(
-                            self.matched
-                                .iter()
-                                .map(|&lane| page.docs[batch_base + lane as usize].clone()),
-                        );
-                    }
-                }
-                // Register budget exceeded: tree-walk this scan.
-                None => out.extend(page.docs.iter().filter(|d| predicate.matches(d)).cloned()),
-            }
+            let all: Vec<u32> = (0..page.docs.len() as u32).collect();
+            let hits = select_rows(
+                (*compiled).as_ref(),
+                predicate,
+                &page.docs,
+                &all,
+                &mut self.scratch,
+                &mut self.matched,
+            );
+            let mut hits = hits.into_iter().peekable();
+            out.extend(
+                (0u32..)
+                    .zip(page.docs)
+                    .filter_map(|(row, doc)| hits.next_if_eq(&row).map(|_| doc)),
+            );
         }
         counters.docs_materialized += out.len() as u64;
-        Ok(out)
+        Ok(DocSet::from(out))
     }
 
     /// [`filtered`](Self::filtered) for a disk-resident base: identical
@@ -421,20 +390,48 @@ impl VmEngine {
         corpus: &Arc<PagedCorpus>,
         predicate: &Predicate,
         counters: &mut WorkCounters,
-    ) -> Result<Arc<Vec<Value>>, EngineError> {
+    ) -> Result<DocSet, EngineError> {
         let key = Self::cache_key(base, predicate);
         if let Some(hit) = self.cache.get(&key) {
             counters.cache_hits += 1;
-            return Ok(Arc::clone(hit));
+            return Ok(hit.clone());
         }
-        let result: Arc<Vec<Value>> = if let Predicate::And(left, right) = predicate {
+        let result = if let Predicate::And(left, right) = predicate {
             let parent = self.filtered_paged(base, corpus, left, counters)?;
-            Arc::new(self.scan(base, &parent, right, counters)?)
+            self.scan(base, &parent, right, counters)?
         } else {
-            Arc::new(self.scan_paged(base, corpus, predicate, counters)?)
+            self.scan_paged(base, corpus, predicate, counters)?
         };
-        self.cache.insert(key, Arc::clone(&result));
+        self.cache.insert(key, result.clone());
         Ok(result)
+    }
+}
+
+/// Evaluates `predicate` over the ascending `rows` of `corpus` — with the
+/// compiled program in [`BATCH`]-row batches, or by tree-walking when the
+/// register budget left no program — and returns the matching rows.
+fn select_rows(
+    program: Option<&Program>,
+    predicate: &Predicate,
+    corpus: &[Value],
+    rows: &[u32],
+    scratch: &mut VmScratch,
+    matched: &mut Vec<u32>,
+) -> Vec<u32> {
+    match program {
+        Some(prog) => {
+            let mut out = Vec::new();
+            for batch in rows.chunks(BATCH) {
+                prog.run_rows(corpus, batch, scratch, matched);
+                out.extend_from_slice(matched);
+            }
+            out
+        }
+        None => rows
+            .iter()
+            .copied()
+            .filter(|&row| predicate.matches(&corpus[row as usize]))
+            .collect(),
     }
 }
 
@@ -466,7 +463,7 @@ impl Engine for VmEngine {
             Arc::new(betze_stats::analyze(name, &parsed)),
         );
         self.paged.remove(name);
-        self.datasets.insert(name.to_owned(), Arc::new(parsed));
+        self.datasets.insert(name.to_owned(), DocSet::from(parsed));
         Ok(ExecutionReport::from_counters(
             started.elapsed(),
             counters,
@@ -524,7 +521,7 @@ impl Engine for VmEngine {
                 }
                 None => {
                     counters.docs_scanned += corpus.doc_count();
-                    Arc::new(
+                    DocSet::from(
                         corpus
                             .materialize()
                             .map_err(|e| EngineError::from_store(&e, "materialize corpus"))?,
@@ -537,13 +534,13 @@ impl Engine for VmEngine {
             });
         };
 
-        let result: Arc<Vec<Value>> = if query.transforms.is_empty() {
+        let result = if query.transforms.is_empty() {
             filtered
         } else {
-            let mut transformed = filtered.as_ref().clone();
+            let mut transformed = filtered.to_vec();
             counters.transform_ops += (transformed.len() * query.transforms.len()) as u64;
             betze_model::apply_all(&query.transforms, &mut transformed);
-            Arc::new(transformed)
+            DocSet::from(transformed)
         };
 
         if let Some(store) = &query.store_as {
@@ -559,12 +556,12 @@ impl Engine for VmEngine {
             } else {
                 self.analyses.remove(store.as_str());
             }
-            self.datasets.insert(store.clone(), Arc::clone(&result));
+            self.datasets.insert(store.clone(), result.clone());
         }
 
-        let docs: Vec<Value> = match &query.aggregation {
-            Some(agg) => self.agg_for(agg).eval(&result),
-            None => result.as_ref().clone(),
+        let docs = match &query.aggregation {
+            Some(agg) => DocSet::from(self.agg_for(agg).eval(&result)),
+            None => result,
         };
         if self.output_enabled {
             counters.docs_output += docs.len() as u64;
@@ -775,6 +772,89 @@ mod tests {
             .map(|p| Query::scan("t").with_filter(p.clone()))
             .collect();
         assert_identical(&queries, &docs());
+    }
+
+    #[test]
+    fn derived_views_run_on_the_base_projection_like_the_tree_walker() {
+        // Every scan of a selection of "t" counts as a scan of its base:
+        // the second one shreds the base, and every derived scan after it
+        // is evaluated on that projection, seeded with the view's rows.
+        let queries = vec![
+            Query::scan("t").with_filter(even()).store_as("evens"),
+            Query::scan("evens").with_filter(small()),
+            Query::scan("t").with_filter(even().and(small())),
+            Query::scan("evens").with_filter(Predicate::leaf(FilterFn::FloatCmp {
+                path: ptr("/n"),
+                op: Comparison::Ge,
+                value: 90.0,
+            })),
+            Query::scan("t").with_filter(even().and(small()).and(Predicate::leaf(
+                FilterFn::IntEq {
+                    path: ptr("/n"),
+                    value: 4,
+                },
+            ))),
+        ];
+        assert_identical(&queries, &docs());
+
+        let mut vm = VmEngine::new(1);
+        vm.import("t", &docs()).unwrap();
+        let base = Arc::clone(vm.datasets["t"].base());
+        let mut joda = JodaSim::new(1);
+        joda.import("t", &docs()).unwrap();
+        for (i, q) in queries.iter().enumerate() {
+            let out = vm.execute(q).unwrap();
+            assert_eq!(out.docs, joda.execute(q).unwrap().docs, "query {i}");
+            assert!(Arc::ptr_eq(out.docs.base(), &base), "query {i}");
+            if i >= 1 {
+                let key = Arc::as_ptr(&base) as usize;
+                assert!(vm.projections.contains_key(&key), "query {i}");
+            }
+        }
+        // Only the base was shredded; no view got a projection of its own.
+        assert_eq!(vm.projections.len(), 1);
+        assert!(Arc::ptr_eq(vm.datasets["evens"].base(), &base));
+        let unfiltered = vm.execute(&Query::scan("t")).unwrap();
+        assert!(Arc::ptr_eq(unfiltered.docs.base(), &base));
+    }
+
+    #[test]
+    fn row_selection_is_identical_across_thread_counts() {
+        let many: Vec<Value> = (0..5000)
+            .map(|i| json!({ "n": (i as i64), "even": (i % 2 == 0) }))
+            .collect();
+        let wide = Predicate::leaf(FilterFn::FloatCmp {
+            path: ptr("/n"),
+            op: Comparison::Lt,
+            value: 3000.0,
+        });
+        let queries = [
+            Query::scan("t").with_filter(even()).store_as("evens"),
+            Query::scan("evens").with_filter(wide.clone()),
+            Query::scan("t").with_filter(even().and(wide)),
+        ];
+        // Unoptimized plain compilation and the optimizer both go through
+        // the batched row path; the projection takes over from the
+        // second scan on.
+        for optimize in [true, false] {
+            let run = |threads: usize| {
+                let mut vm = VmEngine::new(threads);
+                vm.set_optimize(optimize);
+                vm.import("t", &many).unwrap();
+                queries
+                    .iter()
+                    .map(|q| {
+                        let out = vm.execute(q).unwrap();
+                        (out.docs.rows().map(<[u32]>::to_vec), out.report.counters)
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let single = run(1);
+            assert_eq!(single[1].0.as_ref().map(Vec::len), Some(1500));
+            for threads in [4, 16] {
+                assert_eq!(run(threads), single, "threads={threads}");
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! *"currently not recommended"*: the generator then scales statistics by
 //! estimated selectivities.
 
-use betze_json::Value;
+use betze_json::{DocSet, Value};
 use betze_model::{DatasetId, Predicate, Transform};
 use betze_stats::DatasetAnalysis;
 use std::sync::Arc;
@@ -52,11 +52,12 @@ pub trait SelectivityBackend {
 /// queries still meet the target range exactly.
 /// Base datasets are held behind [`Arc`] so many backends (one per
 /// concurrent session under the harness `SessionPool`) can share one
-/// corpus without cloning the documents — see
-/// [`InMemoryBackend::register_base_shared`].
+/// corpus without cloning the documents, and a derived dataset without
+/// transforms is a [`DocSet`] row selection over its parent's base —
+/// no document is copied unless a transform changes it.
 #[derive(Debug)]
 pub struct InMemoryBackend {
-    datasets: Vec<Option<Arc<Vec<Value>>>>,
+    datasets: Vec<Option<DocSet>>,
     analysis_sample: usize,
 }
 
@@ -88,15 +89,12 @@ impl InMemoryBackend {
     /// (one per session task under the harness pool) cost one corpus.
     pub fn register_base(&mut self, id: DatasetId, docs: impl Into<Arc<Vec<Value>>>) {
         self.slot(id.0);
-        self.datasets[id.0] = Some(docs.into());
+        self.datasets[id.0] = Some(DocSet::new(docs.into()));
     }
 
     /// The documents of a dataset, if known.
-    pub fn docs(&self, id: DatasetId) -> Option<&[Value]> {
-        self.datasets
-            .get(id.0)
-            .and_then(|d| d.as_ref())
-            .map(|docs| docs.as_slice())
+    pub fn docs(&self, id: DatasetId) -> Option<&DocSet> {
+        self.datasets.get(id.0).and_then(|d| d.as_ref())
     }
 
     fn slot(&mut self, idx: usize) {
@@ -108,7 +106,7 @@ impl InMemoryBackend {
 
 impl SelectivityBackend for InMemoryBackend {
     fn dataset_size(&mut self, id: DatasetId) -> usize {
-        self.docs(id).map_or(0, <[Value]>::len)
+        self.docs(id).map_or(0, DocSet::len)
     }
 
     fn count_matching(&mut self, id: DatasetId, predicate: &Predicate) -> usize {
@@ -124,14 +122,14 @@ impl SelectivityBackend for InMemoryBackend {
         predicate: &Predicate,
         transforms: &[Transform],
     ) {
-        let filtered: Option<Arc<Vec<Value>>> = self.docs(parent).map(|docs| {
-            let mut out: Vec<Value> = docs
-                .iter()
-                .filter(|d| predicate.matches(d))
-                .cloned()
-                .collect();
+        let filtered = self.docs(parent).map(|docs| {
+            let selected = docs.filter(|d| predicate.matches(d));
+            if transforms.is_empty() {
+                return selected;
+            }
+            let mut out = selected.to_vec();
             betze_model::apply_all(transforms, &mut out);
-            Arc::new(out)
+            DocSet::from(out)
         });
         self.slot(id.0);
         self.datasets[id.0] = filtered;
@@ -140,11 +138,11 @@ impl SelectivityBackend for InMemoryBackend {
     fn analyze(&mut self, id: DatasetId, name: &str) -> Option<DatasetAnalysis> {
         self.docs(id).map(|docs| {
             let sample = if self.analysis_sample == 0 {
-                docs
+                docs.clone()
             } else {
-                &docs[..docs.len().min(self.analysis_sample)]
+                docs.head(self.analysis_sample)
             };
-            betze_stats::analyze(name, sample)
+            betze_stats::analyze_set(name, &sample, 1)
         })
     }
 }
@@ -206,6 +204,38 @@ mod tests {
         let stats = analysis.get(&JsonPointer::parse("/a").unwrap()).unwrap();
         assert_eq!(stats.int_count, 1);
         assert_eq!(stats.string_count, 1);
+    }
+
+    #[test]
+    fn derived_datasets_are_row_views_of_the_base() {
+        let base_docs: Arc<Vec<Value>> = Arc::new(
+            (0..50)
+                .map(|i| json!({ "a": (i as i64), "b": (i % 3 == 0) }))
+                .collect(),
+        );
+        let mut backend = InMemoryBackend::new().with_analysis_sample(10);
+        backend.register_base(DatasetId(0), Arc::clone(&base_docs));
+        let flagged = Predicate::leaf(FilterFn::BoolEq {
+            path: JsonPointer::parse("/b").unwrap(),
+            value: true,
+        });
+        backend.register_derived(DatasetId(0), DatasetId(1), &flagged, &[]);
+        backend.register_derived(DatasetId(1), DatasetId(2), &pred("/a"), &[]);
+        let expected: Vec<Value> = base_docs
+            .iter()
+            .filter(|d| flagged.matches(d))
+            .cloned()
+            .collect();
+        for id in [DatasetId(1), DatasetId(2)] {
+            let view = backend.docs(id).unwrap();
+            assert!(Arc::ptr_eq(view.base(), &base_docs), "no copy for {id:?}");
+            assert_eq!(*view, expected);
+            assert_eq!(
+                backend.analyze(id, "d"),
+                Some(betze_stats::analyze("d", &expected[..10]))
+            );
+        }
+        assert_eq!(backend.count_matching(DatasetId(2), &flagged), 17);
     }
 
     #[test]

@@ -116,7 +116,7 @@ impl SelectivityBackend for EngineBackend<'_> {
             .engine
             .execute(&Query::scan(engine_name.clone()))
             .ok()?;
-        Some(betze_stats::analyze(name, &outcome.docs))
+        Some(betze_stats::analyze_set(name, &outcome.docs, 1))
     }
 }
 

@@ -15,6 +15,9 @@
 //! * [`Value`] / [`Number`] — the document model. Objects preserve insertion
 //!   order (JSON document stores are order-preserving, and deterministic
 //!   iteration matters for reproducible benchmark generation).
+//! * [`DocSet`] — a shared, read-only document set: a base vector plus an
+//!   optional row selection, so filtered intermediates never copy
+//!   documents.
 //! * [`parse`] / [`parse_many`] — a byte-level recursive-descent parser with
 //!   position-tracked errors and a configurable depth limit.
 //! * Serialization via [`Value::to_json`] and [`Value::to_json_pretty`].
@@ -27,6 +30,7 @@
 //! * [`page`] — the fixed-size checksummed page codec underlying the
 //!   `.bcorp` out-of-core corpus format (`betze-store`).
 
+mod docset;
 mod error;
 pub mod frame;
 mod number;
@@ -36,6 +40,7 @@ mod pointer;
 mod ser;
 mod value;
 
+pub use docset::{DocSet, DocSetIter};
 pub use error::{ParseError, ParseErrorKind, PointerParseError};
 pub use number::Number;
 pub use parse::{parse, parse_many, parse_with_limits, ParseLimits};

@@ -193,18 +193,19 @@ impl Aggregation {
         }
     }
 
-    /// Executes the aggregation over a document slice.
+    /// Executes the aggregation over a document sequence (a slice, a
+    /// `Vec` or a `DocSet`).
     ///
     /// * Ungrouped: returns a single-document vector
     ///   `[{ "<alias>": <value> }]`.
     /// * Grouped: returns one document per group,
     ///   `{ "group": <key>, "<alias>": <value> }`, ordered by key for
     ///   deterministic output.
-    pub fn eval(&self, docs: &[Value]) -> Vec<Value> {
+    pub fn eval<'a>(&self, docs: impl IntoIterator<Item = &'a Value>) -> Vec<Value> {
         match &self.group_by {
             None => {
                 let mut obj = Object::with_capacity(1);
-                obj.insert(self.alias.clone(), self.func.eval(docs.iter()));
+                obj.insert(self.alias.clone(), self.func.eval(docs));
                 vec![Value::Object(obj)]
             }
             Some(group_path) => {

@@ -53,7 +53,12 @@ impl Session {
     /// Serializes the session to its JSON document form.
     pub fn to_value(&self) -> Value {
         let mut root = Object::with_capacity(5);
-        root.insert("seed", self.seed as i64);
+        // JSON integers here are i64: a seed past i64::MAX is written as
+        // a decimal string instead, so every seed round-trips.
+        match i64::try_from(self.seed) {
+            Ok(seed) => root.insert("seed", seed),
+            Err(_) => root.insert("seed", self.seed.to_string()),
+        };
         root.insert("config", self.config_label.clone());
         root.insert(
             "queries",
@@ -80,12 +85,9 @@ impl Session {
         let obj = value
             .as_object()
             .ok_or_else(|| schema("top level must be an object"))?;
-        let seed = obj
-            .get("seed")
-            .and_then(Value::as_i64)
-            .filter(|s| *s >= 0)
-            .ok_or_else(|| schema("missing non-negative integer field 'seed'"))?
-            as u64;
+        let seed = obj.get("seed").and_then(seed_from_value).ok_or_else(|| {
+            schema("missing field 'seed': a non-negative integer or a decimal string")
+        })?;
         let config_label = obj
             .get("config")
             .and_then(Value::as_str)
@@ -125,6 +127,17 @@ impl Session {
     pub fn parse(text: &str) -> Result<Self, SessionFileError> {
         let value = betze_json::parse(text)?;
         Self::from_value(&value)
+    }
+}
+
+/// A seed as [`Session::to_value`] writes it: a non-negative integer,
+/// or a string of decimal digits for seeds past `i64::MAX`.
+fn seed_from_value(value: &Value) -> Option<u64> {
+    match value {
+        Value::String(s) if !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit()) => {
+            s.parse().ok()
+        }
+        _ => value.as_i64().and_then(|s| u64::try_from(s).ok()),
     }
 }
 
@@ -663,6 +676,47 @@ mod tests {
         let text = session.to_json();
         let back = Session::parse(&text).unwrap();
         assert_eq!(back, session);
+    }
+
+    #[test]
+    fn seeds_past_i64_round_trip_as_decimal_strings() {
+        for seed in [u64::MAX, 1 << 63, i64::MAX as u64, 0] {
+            let session = Session {
+                seed,
+                ..kitchen_sink()
+            };
+            let back = Session::parse(&session.to_json()).unwrap();
+            assert_eq!(back.seed, seed);
+            assert_eq!(back, session);
+        }
+        // Below 2^63 the seed stays a JSON integer, byte for byte.
+        let low = kitchen_sink().to_json();
+        assert!(low.contains("\"seed\": 987654321"), "{low}");
+        let max = Session {
+            seed: u64::MAX,
+            ..kitchen_sink()
+        };
+        assert_eq!(
+            max.to_value().get("seed").and_then(Value::as_str),
+            Some("18446744073709551615")
+        );
+        // Either form is read; anything else is refused.
+        let file = |seed: &str| {
+            format!(r#"{{"seed":{seed},"config":"x","queries":[],"graph":[],"moves":[]}}"#)
+        };
+        assert_eq!(Session::parse(&file(r#""42""#)).unwrap().seed, 42);
+        for bad in [
+            r#""-1""#,
+            r#""+5""#,
+            r#""""#,
+            r#""18446744073709551616""#,
+            "1.5",
+        ] {
+            assert!(
+                matches!(Session::parse(&file(bad)), Err(SessionFileError::Schema(_))),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

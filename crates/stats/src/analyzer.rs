@@ -19,7 +19,8 @@
 
 use crate::counts::CountTable;
 use crate::{DatasetAnalysis, Histogram, PathStats};
-use betze_json::{JsonPointer, Number, Value};
+use betze_json::{DocSet, JsonPointer, Number, Value};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 
 /// Configuration of the analyzer.
@@ -89,6 +90,26 @@ pub fn analyze_with_config(
 pub fn analyze_with_config_jobs(
     name: impl Into<String>,
     docs: &[Value],
+    config: &AnalyzerConfig,
+    jobs: usize,
+) -> DatasetAnalysis {
+    analyze_docs(name, docs, config, jobs)
+}
+
+/// [`analyze_jobs`] over a [`DocSet`]: a row selection is analyzed in
+/// place, without copying its documents, and the result is bit-identical
+/// to analyzing the materialized members (same documents, same order,
+/// same chunking).
+pub fn analyze_set(name: impl Into<String>, docs: &DocSet, jobs: usize) -> DatasetAnalysis {
+    let members: Vec<&Value> = docs.iter().collect();
+    analyze_docs(name, &members, &AnalyzerConfig::default(), jobs)
+}
+
+/// The analysis pass over owned (`Value`) or borrowed (`&Value`)
+/// documents.
+fn analyze_docs<D: Borrow<Value> + Sync>(
+    name: impl Into<String>,
+    docs: &[D],
     config: &AnalyzerConfig,
     jobs: usize,
 ) -> DatasetAnalysis {
@@ -230,12 +251,12 @@ pub(crate) struct FinishedNode {
     pub(crate) stats: PathStats,
 }
 
-pub(crate) fn build_trie(docs: &[Value], config: &AnalyzerConfig) -> PathTrie {
+pub(crate) fn build_trie<D: Borrow<Value>>(docs: &[D], config: &AnalyzerConfig) -> PathTrie {
     let mut trie = PathTrie::new();
     for doc in docs {
         // The root path itself is not recorded (it exists in every document
         // by definition); only attribute paths are.
-        if let Value::Object(obj) = doc {
+        if let Value::Object(obj) = doc.borrow() {
             for (key, value) in obj.iter() {
                 trie.record(0, key, value, config, 1);
             }
@@ -249,9 +270,9 @@ pub(crate) fn build_trie(docs: &[Value], config: &AnalyzerConfig) -> PathTrie {
 /// boundaries). Parallel chunks each fill a clone of the histogram
 /// skeleton (indexed by trie node); bucket counts are summed, which is
 /// order-independent.
-fn collect_histograms(
+fn collect_histograms<D: Borrow<Value> + Sync>(
     nodes: &mut [FinishedNode],
-    docs: &[Value],
+    docs: &[D],
     config: &AnalyzerConfig,
     workers: usize,
 ) {
@@ -308,9 +329,9 @@ fn collect_histograms(
 
 /// Walks `docs` through the (immutable) trie, adding numeric values into
 /// the node-indexed `sink`.
-pub(crate) fn fill_histograms(
+pub(crate) fn fill_histograms<D: Borrow<Value>>(
     nodes: &[FinishedNode],
-    docs: &[Value],
+    docs: &[D],
     config: &AnalyzerConfig,
     sink: &mut [Option<Histogram>],
 ) {
@@ -343,7 +364,7 @@ pub(crate) fn fill_histograms(
         }
     }
     for doc in docs {
-        if let Value::Object(obj) = doc {
+        if let Value::Object(obj) = doc.borrow() {
             for (key, value) in obj.iter() {
                 walk(nodes, 0, key, value, sink, config.max_depth, 1);
             }
@@ -679,6 +700,45 @@ mod tests {
         // Auto-detection is also exact.
         let auto = analyze_jobs("t", &docs, 0);
         assert_eq!(auto, sequential);
+    }
+
+    #[test]
+    fn row_selection_analysis_is_bit_identical_to_materialized_docs() {
+        use std::sync::Arc;
+        let base: Arc<Vec<Value>> = Arc::new(
+            (0..301)
+                .map(|i| {
+                    json!({
+                        "id": (i as i64),
+                        "name": (format!("user{:03}", i % 37)),
+                        "score": (i as f64 * 0.41 - 30.0),
+                        "nested": { "flag": (i % 3 == 0) },
+                    })
+                })
+                .collect(),
+        );
+        let whole = DocSet::new(Arc::clone(&base));
+        let selected = whole.filter(|d| d.get("id").and_then(Value::as_i64).unwrap() % 5 != 1);
+        let nested = selected
+            .filter(|d| d.get("nested").and_then(|n| n.get("flag")) == Some(&Value::Bool(false)));
+        for set in [
+            &whole,
+            &selected,
+            &nested,
+            &selected.head(40),
+            &whole.head(0),
+        ] {
+            let materialized = set.to_vec();
+            for jobs in [1, 4] {
+                assert_eq!(
+                    analyze_set("t", set, jobs),
+                    analyze_jobs("t", &materialized, jobs),
+                    "{} docs, jobs={jobs}",
+                    set.len()
+                );
+            }
+            assert_eq!(analyze_set("t", set, 4), analyze("t", &materialized));
+        }
     }
 }
 

@@ -35,7 +35,8 @@ mod summary;
 
 pub use analysis::{DatasetAnalysis, PathStats};
 pub use analyzer::{
-    analyze, analyze_jobs, analyze_with_config, analyze_with_config_jobs, AnalyzerConfig,
+    analyze, analyze_jobs, analyze_set, analyze_with_config, analyze_with_config_jobs,
+    AnalyzerConfig,
 };
 pub use cache::{fingerprint_docs, AnalysisCache};
 pub use file::AnalysisFileError;

@@ -98,7 +98,7 @@ impl CompiledAggregation {
 
     /// Executes the aggregation; output is byte-identical to
     /// [`Aggregation::eval`].
-    pub fn eval(&self, docs: &[Value]) -> Vec<Value> {
+    pub fn eval<'a>(&self, docs: impl IntoIterator<Item = &'a Value>) -> Vec<Value> {
         match &self.group_by {
             None => {
                 let mut acc = Acc::default();

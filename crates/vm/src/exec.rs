@@ -45,6 +45,33 @@ impl Program {
     pub fn run(&self, docs: &[Value], scratch: &mut VmScratch, matched: &mut Vec<u32>) {
         self.interpret(
             docs.len(),
+            None,
+            scratch,
+            matched,
+            |prog, leaf, sel, reg, hints| prog.eval_leaf(leaf, docs, sel, reg, hints),
+        );
+    }
+
+    /// [`run`](Self::run) restricted to the documents at `rows`
+    /// (strictly ascending indices into `docs`): the rows seed the
+    /// selection stack, so no other document is touched, and `matched`
+    /// receives the matching rows — a subset of `rows`, ascending. Per-row
+    /// results are those of `run` over the whole of `docs`, because a
+    /// program evaluates every lane independently.
+    ///
+    /// # Panics
+    ///
+    /// If a row is out of bounds of `docs`.
+    pub fn run_rows(
+        &self,
+        docs: &[Value],
+        rows: &[u32],
+        scratch: &mut VmScratch,
+        matched: &mut Vec<u32>,
+    ) {
+        self.interpret(
+            docs.len(),
+            Some(rows),
             scratch,
             matched,
             |prog, leaf, sel, reg, hints| prog.eval_leaf(leaf, docs, sel, reg, hints),
@@ -68,28 +95,76 @@ impl Program {
         scratch: &mut VmScratch,
         matched: &mut Vec<u32>,
     ) {
+        self.run_projected_lanes(proj, None, scratch, matched);
+    }
+
+    /// [`run_projected`](Self::run_projected) restricted to the lanes
+    /// `rows` (strictly ascending) — the projection of a whole corpus
+    /// serves any selection of its documents, matching exactly the rows
+    /// [`run_rows`](Self::run_rows) matches over the documents.
+    ///
+    /// # Panics
+    ///
+    /// As `run_projected`, and if a row is out of bounds of the
+    /// projection.
+    pub fn run_projected_rows(
+        &self,
+        proj: &Projection,
+        rows: &[u32],
+        scratch: &mut VmScratch,
+        matched: &mut Vec<u32>,
+    ) {
+        self.run_projected_lanes(proj, Some(rows), scratch, matched);
+    }
+
+    fn run_projected_lanes(
+        &self,
+        proj: &Projection,
+        rows: Option<&[u32]>,
+        scratch: &mut VmScratch,
+        matched: &mut Vec<u32>,
+    ) {
         assert!(
             self.projectable,
             "program paths have non-canonical array tokens; use Program::run"
         );
-        self.interpret(proj.lanes(), scratch, matched, |prog, leaf, sel, reg, _| {
-            proj.eval_leaf(prog, leaf, sel, reg);
-        });
+        self.interpret(
+            proj.lanes(),
+            rows,
+            scratch,
+            matched,
+            |prog, leaf, sel, reg, _| {
+                proj.eval_leaf(prog, leaf, sel, reg);
+            },
+        );
     }
 
     /// The shared op-loop: everything except how a leaf is evaluated.
+    /// `rows` seeds the selection stack (every lane `0..len` when
+    /// `None`); only seeded lanes are evaluated or reported.
     fn interpret(
         &self,
         len: usize,
+        rows: Option<&[u32]>,
         scratch: &mut VmScratch,
         matched: &mut Vec<u32>,
         mut eval: impl FnMut(&Program, &CompiledLeaf, &[u32], &mut [bool], &mut [u32]),
     ) {
         matched.clear();
         assert!(u32::try_from(len).is_ok(), "batch exceeds u32 lane space");
+        if let Some(rows) = rows {
+            assert!(
+                rows.last().is_none_or(|&r| (r as usize) < len),
+                "seeded row out of bounds of a {len}-lane batch"
+            );
+            debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows ascend");
+        }
         if self.registers == 0 {
             // match_all: no instructions, every lane matches.
-            matched.extend(0..len as u32);
+            match rows {
+                Some(rows) => matched.extend_from_slice(rows),
+                None => matched.extend(0..len as u32),
+            }
             return;
         }
         let nregs = usize::from(self.registers);
@@ -110,7 +185,10 @@ impl Program {
             scratch.sels.push(Vec::new());
         }
         scratch.sels[0].clear();
-        scratch.sels[0].extend(0..len as u32);
+        match rows {
+            Some(rows) => scratch.sels[0].extend_from_slice(rows),
+            None => scratch.sels[0].extend(0..len as u32),
+        }
 
         let mut depth = 0usize;
         let mut pc = 0usize;
@@ -155,12 +233,14 @@ impl Program {
             pc += 1;
         }
 
+        // Unseeded lanes were never written, so only the seed is read.
         let result = &scratch.regs[0];
-        for lane in 0..len as u32 {
-            if result[lane as usize] {
-                matched.push(lane);
-            }
-        }
+        matched.extend(
+            scratch.sels[0]
+                .iter()
+                .copied()
+                .filter(|&lane| result[lane as usize]),
+        );
     }
 
     /// Convenience wrapper counting matches with a fresh scratch (tests

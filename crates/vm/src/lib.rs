@@ -21,7 +21,11 @@
 //! the paper's session workloads — can be *shredded* once into a
 //! [`Projection`]: dictionary-encoded dense columns, one per observed
 //! path, over which [`Program::run_projected`] evaluates leaves as
-//! sequential column scans with zero per-document pointer chasing.
+//! sequential column scans with zero per-document pointer chasing. The
+//! `_rows` variants ([`Program::run_rows`],
+//! [`Program::run_projected_rows`]) seed the selection with a subset of
+//! the corpus's rows, so one projection of a corpus serves every
+//! filtered selection of it.
 //!
 //! Results are **bit-identical** to the tree-walker by construction: leaf
 //! tests replicate `FilterFn::matches` case for case (same `f64`
@@ -136,10 +140,32 @@ mod tests {
             .map(|(i, _)| i as u32)
             .collect();
         assert_eq!(matched, expected, "vm != tree for {predicate}");
-        if program.is_projectable() {
-            let proj = Projection::build(docs).expect("projection fits the cell budget");
-            program.run_projected(&proj, &mut scratch, &mut matched);
+        let proj = program
+            .is_projectable()
+            .then(|| Projection::build(docs).expect("projection fits the cell budget"));
+        if let Some(proj) = &proj {
+            program.run_projected(proj, &mut scratch, &mut matched);
             assert_eq!(matched, expected, "projected vm != tree for {predicate}");
+        }
+        // Seeded selections (every other row, the back half, none) match
+        // exactly the seeded rows the whole-batch run matches.
+        let n = docs.len() as u32;
+        for rows in [
+            (0..n).step_by(2).collect(),
+            (n / 2..n).collect(),
+            Vec::new(),
+        ] {
+            let want: Vec<u32> = rows
+                .iter()
+                .copied()
+                .filter(|r| expected.contains(r))
+                .collect();
+            program.run_rows(docs, &rows, &mut scratch, &mut matched);
+            assert_eq!(matched, want, "seeded vm != tree for {predicate}");
+            if let Some(proj) = &proj {
+                program.run_projected_rows(proj, &rows, &mut scratch, &mut matched);
+                assert_eq!(matched, want, "seeded projected vm != tree for {predicate}");
+            }
         }
     }
 
@@ -613,6 +639,8 @@ ops:
         let mut matched = Vec::new();
         program.run_projected(&proj, &mut scratch, &mut matched);
         assert_eq!(matched.len(), docs.len());
+        program.run_projected_rows(&proj, &[1, 4], &mut scratch, &mut matched);
+        assert_eq!(matched, [1, 4]);
     }
 
     #[test]

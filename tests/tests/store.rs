@@ -19,7 +19,7 @@ use betze::explorer::Preset;
 use betze::generator::GeneratorConfig;
 use betze::harness::workload::{Corpus, SharedCorpus};
 use betze::harness::{run_session_from_source, CorpusSource, QueryStatus, RetryPolicy, RunOptions};
-use betze::json::Value;
+use betze::json::DocSet;
 use betze::model::Session;
 use betze::store::{CorpusWriter, DiskChaos, DiskFaultPlan, PagedCorpus, StoreError};
 use std::path::PathBuf;
@@ -56,7 +56,7 @@ fn observe(
     corpus: &SharedCorpus,
     paged: Option<&Arc<PagedCorpus>>,
     session: &Session,
-) -> (WorkCounters, Vec<(Vec<Value>, WorkCounters, Duration)>) {
+) -> (WorkCounters, Vec<(DocSet, WorkCounters, Duration)>) {
     engine.reset();
     let import = match paged {
         Some(corpus) => engine.import_paged(corpus).unwrap(),
